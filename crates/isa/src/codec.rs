@@ -849,11 +849,11 @@ impl<R: Read> TraceReader<R> {
         // sink boundaries can leave short frames mid-file. Coalesce those
         // through a staging buffer so the consumer always sees
         // full-capacity batches: batch boundaries are semantically inert
-        // (pinned by the uarch equivalence suites), and full batches
-        // amortize the per-call setup of batched consumers such as the
-        // timing model's structure-of-arrays walk. Full frames with an
-        // empty stage — the entire steady state of a real trace — are
-        // handed through without a copy.
+        // (pinned by `crates/uarch/tests/batch_equiv.rs`), and full
+        // batches amortize the per-call setup of batched consumers such
+        // as `CounterSink`. Full frames with an empty stage — the entire
+        // steady state of a real trace — are handed through without a
+        // copy.
         let mut stage: Vec<Uop> = Vec::new();
         while let Some(frame) = self.next_frame()? {
             if stage.is_empty() && frame.len() == BATCH_CAPACITY {

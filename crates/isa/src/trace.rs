@@ -58,11 +58,10 @@ pub trait TraceSink {
 ///
 /// This is also the batch size the rest of the pipeline standardizes on:
 /// the binary codec frames traces at this many µops, and its replay loop
-/// coalesces short frames so batched consumers (the timing model's
-/// structure-of-arrays walk in particular) see full-capacity slices in
-/// steady state. Batch *boundaries* carry no semantics — every consumer
+/// coalesces short frames so batched consumers see full-capacity slices
+/// in steady state. Batch *boundaries* carry no semantics — every consumer
 /// must produce identical results for any chunking of the same stream,
-/// an invariant pinned by the uarch equivalence suites.
+/// an invariant pinned by `crates/uarch/tests/batch_equiv.rs`.
 pub const BATCH_CAPACITY: usize = 256;
 
 /// Producer-side staging buffer that batches µops before crossing the

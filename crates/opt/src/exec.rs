@@ -34,8 +34,7 @@ use std::rc::Rc;
 /// `CHECKELIDE_SCALAR_EXEC=1` and every optimized activation walks
 /// `(Bc, OpPlan)` pairs exactly as before the region tier existed.
 /// The region tier must be byte-identical to this path (CI diffs the
-/// figure goldens both ways), mirroring `CHECKELIDE_SCALAR_SIM` for
-/// CoreSim.
+/// figure goldens both ways).
 pub const SCALAR_EXEC_ENV: &str = "CHECKELIDE_SCALAR_EXEC";
 
 /// Optimized code for one function.

@@ -3,14 +3,13 @@
 //! The batching rework ([`TraceSink::emit_batch`] + the producer-side
 //! `BatchSink` staging buffer) must be a pure interface optimization: for
 //! the same µop sequence, batched and per-µop consumption have to produce
-//! bit-identical statistics in every consumer. This test records a real
-//! program trace through the full engine stack (both execution tiers,
-//! inline caches, GC-free steady state) and replays it into fresh
-//! [`CounterSink`] and [`CoreSim`] pairs through both interfaces,
-//! asserting identical [`SimResult`]s and counter totals. A third replay
-//! goes through the producer-side [`BatchSink`] wrapper (arbitrary flush
-//! boundaries from capacity-triggered auto-flushes), which must also be
-//! equivalent.
+//! bit-identical statistics. This test records a real program trace
+//! through the full engine stack (both execution tiers, inline caches,
+//! GC-free steady state) and replays it into fresh [`CounterSink`]s,
+//! whose `emit_batch` is a hand-written batched loop: per µop, per
+//! capacity-sized batch, and through the producer-side [`BatchSink`]
+//! wrapper (arbitrary flush boundaries from capacity-triggered
+//! auto-flushes), asserting identical counter totals.
 //!
 //! The same property must hold through the binary trace codec: recording
 //! the live trace with [`TraceWriter`] and streaming it back with
@@ -93,7 +92,6 @@ fn batched_and_per_uop_consumption_are_equivalent() {
         "trace must include optimized-tier µops to be representative"
     );
 
-    // --- CounterSink ---------------------------------------------------
     let mut per_uop = CounterSink::new();
     for u in &trace {
         per_uop.emit(u);
@@ -128,36 +126,6 @@ fn batched_and_per_uop_consumption_are_equivalent() {
         counter_fingerprint(&via_batch_sink),
         "BatchSink staging must preserve the exact µop stream"
     );
-
-    // --- CoreSim -------------------------------------------------------
-    let mut sim_per_uop = CoreSim::new(CoreConfig::nehalem());
-    for u in &trace {
-        sim_per_uop.emit(u);
-    }
-    sim_per_uop.finish();
-
-    let mut sim_batched = CoreSim::new(CoreConfig::nehalem());
-    for chunk in trace.chunks(BATCH_CAPACITY) {
-        sim_batched.emit_batch(chunk);
-    }
-    sim_batched.finish();
-
-    let (a, b) = (sim_per_uop.result(), sim_batched.result());
-    assert_eq!(
-        a, b,
-        "SimResult (cycles, energy, caches, TLBs, branches) must be \
-         identical between per-µop and batched replay"
-    );
-    assert!(a.cycles > 0 && a.uops == trace.len() as u64);
-
-    // Odd, non-power-of-two batch boundaries must not matter either (the
-    // model is order-dependent, not boundary-dependent).
-    let mut sim_odd = CoreSim::new(CoreConfig::nehalem());
-    for chunk in trace.chunks(97) {
-        sim_odd.emit_batch(chunk);
-    }
-    sim_odd.finish();
-    assert_eq!(a, sim_odd.result(), "batch size must not affect the model");
 }
 
 /// Recording a real engine trace through the binary codec and replaying
