@@ -62,9 +62,11 @@ use checkelide_bench::figures::{
 };
 use checkelide_bench::proto::{serve, RemoteStore};
 use checkelide_bench::runner::{try_run_benchmark, RunConfig};
+use checkelide_bench::store::sha256;
 use checkelide_bench::{find, sim_config, Cli, Json, SimCacheMode, TraceCache};
 use checkelide_engine::{EngineConfig, Mechanism, Vm, VmStats};
 use checkelide_isa::codec::{encode_trace, TraceReader};
+use checkelide_isa::lz;
 use checkelide_isa::trace::VecSink;
 use checkelide_isa::uop::Uop;
 use checkelide_isa::{CounterSink, NullSink, TraceSink, BATCH_CAPACITY};
@@ -140,6 +142,22 @@ fn mops(total: usize, reps: u32, mut run: impl FnMut()) -> f64 {
     }
     total as f64 / best / 1e6
 }
+
+/// Median-of-`reps` throughput in MB/s for a run that processes `bytes`.
+fn median_mbps(bytes: usize, reps: usize, mut run: impl FnMut()) -> f64 {
+    let mut secs: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            run();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    bytes as f64 / secs[reps / 2] / 1e6
+}
+
+/// Repetitions behind each integrity-layer throughput median.
+const INTEGRITY_REPS: usize = 5;
 
 /// One engine tier's steady-state throughput on one benchmark.
 struct TierRun {
@@ -329,6 +347,22 @@ fn main() {
     });
     let trace_len = trace.len();
     let encoded_len = encoded.len();
+
+    // --- integrity layer: what every store read and PUT pays ------------
+    // SHA-256 (the content ID), LZ compress (each recorded body) and LZ
+    // decompress (each verified read), all over the encoded trace above.
+    let sha256_mbps = median_mbps(encoded_len, INTEGRITY_REPS, || {
+        std::hint::black_box(sha256(std::hint::black_box(&encoded)));
+    });
+    let lz_compress_mbps = median_mbps(encoded_len, INTEGRITY_REPS, || {
+        std::hint::black_box(lz::compress(std::hint::black_box(&encoded)));
+    });
+    let packed = lz::compress(&encoded);
+    assert!(lz::decompress(&packed, encoded_len).is_ok_and(|r| r == encoded), "LZ round trip");
+    let lz_decompress_mbps = median_mbps(encoded_len, INTEGRITY_REPS, || {
+        std::hint::black_box(lz::decompress(std::hint::black_box(&packed), encoded_len).ok());
+    });
+    drop(packed);
     drop(encoded);
     drop(trace);
 
@@ -614,6 +648,9 @@ fn main() {
                 ("loopback_get_mbps", Json::Num(loopback_get_mbps)),
                 ("server_hits", Json::UInt(server_stats.hits)),
                 ("server_bytes_read", Json::UInt(server_stats.bytes_read)),
+                ("sha256_mbps", Json::Num(sha256_mbps)),
+                ("lz_compress_mbps", Json::Num(lz_compress_mbps)),
+                ("lz_decompress_mbps", Json::Num(lz_decompress_mbps)),
             ]),
         ),
         (
@@ -740,6 +777,11 @@ fn main() {
         "  loopback: STAT rtt {loopback_rtt_us:.0} µs   GET {loopback_get_mbps:.1} MB/s \
          ({} server hit(s))",
         server_stats.hits
+    );
+    println!(
+        "  integrity ({encoded_len} B encoded trace, median of {INTEGRITY_REPS}): SHA-256 \
+         {sha256_mbps:.0} MB/s   LZ compress {lz_compress_mbps:.0} MB/s   LZ decompress \
+         {lz_decompress_mbps:.0} MB/s"
     );
     println!("== fig1 grid (jobs=1, quick={}) ==", cli.quick);
     println!("  {grid_ms:.0} ms uncached");

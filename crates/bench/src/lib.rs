@@ -30,6 +30,8 @@
 //! * [`cli`] — the shared `--quick` / `--jobs` / value-flag / positional
 //!   parsing used by every harness binary (and by `xcheck`).
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod cli;
 pub mod figures;
 pub mod json;

@@ -31,6 +31,10 @@
 //!   **raw** bytes, so the same trace stored compressed and uncompressed
 //!   dedups to one identity and every read re-verifies content integrity
 //!   end to end (decompress, hash, compare).
+//! * [`sha256`] runs on the CPU's SHA extensions when run-time detection
+//!   finds them (x86-64 `sha` + SSSE3 + SSE4.1) and on a portable scalar
+//!   block function everywhere else; both give the same digest, so CIDs
+//!   do not depend on the host that wrote them.
 //!
 //! # Crash safety and reclamation
 //!
@@ -58,94 +62,9 @@ use checkelide_isa::lz;
 use checkelide_runtime::runtime::ObjectStats;
 use checkelide_uarch::{SimObject, SIM_OBJECT_LEN};
 
-// ---------------------------------------------------------------------------
-// SHA-256 (std-only)
-// ---------------------------------------------------------------------------
+mod sha256;
 
-const SHA_K: [u32; 64] = [
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
-    0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
-    0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
-    0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-    0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-    0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
-    0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
-    0xc67178f2,
-];
-
-fn sha_block(h: &mut [u32; 8], block: &[u8; 64]) {
-    let mut w = [0u32; 64];
-    for (i, word) in w.iter_mut().take(16).enumerate() {
-        *word = u32::from_be_bytes([
-            block[4 * i],
-            block[4 * i + 1],
-            block[4 * i + 2],
-            block[4 * i + 3],
-        ]);
-    }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
-    }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ (!e & g);
-        let t1 = hh
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(SHA_K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = s0.wrapping_add(maj);
-        hh = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
-    }
-    for (s, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-        *s = s.wrapping_add(v);
-    }
-}
-
-/// SHA-256 of `data` (the store's content-ID function).
-#[must_use]
-pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    let mut chunks = data.chunks_exact(64);
-    for chunk in &mut chunks {
-        sha_block(&mut h, chunk.try_into().expect("exact chunk"));
-    }
-    let rem = chunks.remainder();
-    let mut block = [0u8; 64];
-    block[..rem.len()].copy_from_slice(rem);
-    block[rem.len()] = 0x80;
-    if rem.len() >= 56 {
-        sha_block(&mut h, &block);
-        block = [0u8; 64];
-    }
-    block[56..].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
-    sha_block(&mut h, &block);
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
-}
+pub use sha256::sha256;
 
 /// Lowercase hex rendering of a content ID.
 #[must_use]
@@ -827,9 +746,12 @@ impl TraceStore {
         // never serve stale statistics through the untimed path.
         match fs::metadata(self.object_path(&side.cid)) {
             Ok(m) if m.len() == side.stored_bytes => {
-                // Refresh the manifest mtime (atomic rewrite of identical
-                // bytes) so the GC's LRU bound tracks use, not publish age.
-                let _ = TraceStore::publish(&mpath, &bytes);
+                // Refresh the manifest mtime so the GC's LRU bound tracks
+                // use, not publish age. The bytes are left as they are.
+                let _ = File::options()
+                    .write(true)
+                    .open(&mpath)
+                    .and_then(|f| f.set_modified(SystemTime::now()));
                 Some(side)
             }
             Ok(_) => {
@@ -1227,32 +1149,6 @@ mod tests {
     }
 
     #[test]
-    fn sha256_matches_nist_vectors() {
-        assert_eq!(
-            cid_hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            cid_hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            cid_hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        // Length straddling the padding boundary (55/56/64 bytes).
-        for n in [55usize, 56, 63, 64, 65, 119, 120] {
-            let _ = sha256(&vec![0xaau8; n]); // must not panic
-        }
-        assert_eq!(
-            cid_hex(&sha256(&[0x61u8; 1_000_000])),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
-    }
-
-    #[test]
     fn object_image_round_trips_and_verifies() {
         let raw = b"abcdabcdabcdabcd-trailer".repeat(50);
         let img = ObjectImage::build(&raw, true);
@@ -1580,11 +1476,27 @@ mod tests {
         let (dir, store) = temp_store("lru");
         let mut side = sample_sidecar("");
         store.put("a|e1|c1", &mut side, &vec![1u8; 300]).expect("put");
-        std::thread::sleep(std::time::Duration::from_millis(20));
         store.put("b|e1|c1", &mut side, &vec![2u8; 300]).expect("put");
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        // Touch a: it becomes the most recently used.
+        // Age both manifests explicitly, a older than b, so the order does
+        // not depend on the file system's timestamp granularity.
+        let hour_ago = SystemTime::now() - std::time::Duration::from_secs(3600);
+        for (key, age) in [("a|e1|c1", 60), ("b|e1|c1", 0)] {
+            let f = File::options().write(true).open(store.manifest_path(key)).expect("open");
+            f.set_modified(hour_ago - std::time::Duration::from_secs(age)).expect("set mtime");
+        }
+        let apath = store.manifest_path("a|e1|c1");
+        let before = fs::read(&apath).expect("manifest a");
+        #[cfg(unix)]
+        let inode = |p: &Path| std::os::unix::fs::MetadataExt::ino(&fs::metadata(p).expect("a"));
+        #[cfg(unix)]
+        let inode_before = inode(&apath);
+        // Touch a: it becomes the most recently used, in place.
         assert!(store.stat("a|e1|c1").is_some());
+        let meta = fs::metadata(&apath).expect("manifest a");
+        assert!(meta.modified().expect("mtime") > hour_ago, "a hit advances the manifest mtime");
+        assert_eq!(fs::read(&apath).expect("manifest a"), before, "a hit leaves the bytes");
+        #[cfg(unix)]
+        assert_eq!(inode(&apath), inode_before, "a hit touches the file in place, no rename");
         let keep = store
             .manifests()
             .iter()

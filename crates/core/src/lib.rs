@@ -49,6 +49,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod classcache;
 pub mod classid;
 pub mod classlist;

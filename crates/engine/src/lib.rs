@@ -30,6 +30,8 @@
 //! # let _ = v;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bytecode;
 pub mod compile;
 pub mod emit;

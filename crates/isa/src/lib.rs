@@ -32,6 +32,8 @@
 //! assert_eq!(counters.total(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod counters;
 pub mod layout;

@@ -29,7 +29,11 @@
 //! 3. Throughput over ratio: a greedy single-pass hash-table matcher, no
 //!    entropy stage. Encoded traces are already dense (~5 B/µop) but
 //!    highly self-similar (loop bodies repeat), which is exactly what a
-//!    long-window LZ exploits.
+//!    long-window LZ exploits. The decoder copies whole blocks: literal
+//!    runs with `extend_from_slice`, back-references with
+//!    `extend_from_within` — one copy when the match does not overlap its
+//!    own output, and chunks of `offset`, `2·offset`, `4·offset`, … bytes
+//!    when it does, so every chunk reads only bytes already written.
 
 /// Minimum back-reference length (shorter matches are stored as literals).
 pub const MIN_MATCH: usize = 4;
@@ -243,11 +247,18 @@ pub fn decompress(src: &[u8], expected: usize) -> Result<Vec<u8>, LzError> {
         if out.len() + mlen > expected {
             return Err(LzError::TooLong { offset: c.pos });
         }
-        // Byte-at-a-time copy: overlapping back-references (offset < len)
-        // intentionally re-read bytes this same copy produced.
-        for from in out.len() - off..out.len() - off + mlen {
-            let b = out[from];
-            out.push(b);
+        // Block copy. A match that does not overlap its own output
+        // (off >= mlen) is one copy. An overlapping one re-reads bytes it
+        // produces itself, so it is copied in chunks that end at the
+        // current output end: off bytes, then 2·off, 4·off, ... — each
+        // chunk a whole number of periods, so the result equals the
+        // byte-at-a-time copy.
+        let start = out.len() - off;
+        let mut left = mlen;
+        while left > 0 {
+            let n = left.min(out.len() - start);
+            out.extend_from_within(start..start + n);
+            left -= n;
         }
     }
 }
@@ -255,6 +266,122 @@ pub fn decompress(src: &[u8], expected: usize) -> Result<Vec<u8>, LzError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time decoder [`decompress`] replaced: the same checks
+    /// in the same order, but every match byte is its own `push`, so an
+    /// overlapping match is correct by construction. The reference for
+    /// [`decompress_matches_the_byte_at_a_time_reference`].
+    fn decompress_reference(src: &[u8], expected: usize) -> Result<Vec<u8>, LzError> {
+        let mut out: Vec<u8> = Vec::with_capacity(expected);
+        let mut c = LzCur { src, pos: 0 };
+        loop {
+            let token = c.byte()?;
+            let mut lit = (token >> 4) as usize;
+            if lit == 15 {
+                lit = c.len_ext(15, expected)?;
+            }
+            if out.len() + lit > expected {
+                return Err(LzError::TooLong { offset: c.pos });
+            }
+            let end = c.pos.checked_add(lit).ok_or(LzError::Truncated { offset: c.pos })?;
+            let run = c.src.get(c.pos..end).ok_or(LzError::Truncated { offset: c.pos })?;
+            out.extend_from_slice(run);
+            c.pos = end;
+            if c.pos == c.src.len() {
+                if out.len() != expected {
+                    return Err(LzError::ShortOutput { produced: out.len(), expected });
+                }
+                return Ok(out);
+            }
+            let off_at = c.pos;
+            let off = usize::from(u16::from_le_bytes([c.byte()?, c.byte()?]));
+            if off == 0 || off > out.len() {
+                return Err(LzError::BadOffset { offset: off_at });
+            }
+            let mut mlen = (token & 0x0f) as usize + MIN_MATCH;
+            if mlen == 15 + MIN_MATCH {
+                mlen = c.len_ext(mlen, expected)?;
+            }
+            if out.len() + mlen > expected {
+                return Err(LzError::TooLong { offset: c.pos });
+            }
+            for from in out.len() - off..out.len() - off + mlen {
+                let b = out[from];
+                out.push(b);
+            }
+        }
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// Both decoders on one input: the same bytes or the same error.
+    fn same_as_reference(src: &[u8], expected: usize) -> Result<Vec<u8>, LzError> {
+        let got = decompress(src, expected);
+        let want = decompress_reference(src, expected);
+        assert_eq!(got, want, "{} B stream, expected {expected}", src.len());
+        got
+    }
+
+    #[test]
+    fn decompress_matches_the_byte_at_a_time_reference() {
+        let mut rng = xorshift(0x51f1_5eed_0dd5_a11e);
+        let noise: Vec<u8> = (0..1_500).map(|_| rng() as u8).collect();
+        let mut trace = Vec::new();
+        for i in 0..600u64 {
+            trace.push((i % 7) as u8);
+            trace.extend_from_slice(&(0x4000 + (i % 13) * 8).to_le_bytes()[..3]);
+            trace.push((rng() % 4) as u8);
+        }
+        // Runs and short periods: overlapping matches of many offsets.
+        let mut runs = Vec::new();
+        while runs.len() < 4_000 {
+            let period = 1 + (rng() % 9) as usize;
+            let unit: Vec<u8> = (0..period).map(|_| rng() as u8).collect();
+            let len = 1 + (rng() % 400) as usize;
+            runs.extend(unit.iter().cycle().take(len));
+        }
+        for data in [&noise, &trace, &runs] {
+            let packed = compress(data);
+            let n = data.len();
+            assert_eq!(same_as_reference(&packed, n).as_deref(), Ok(&data[..]));
+            for cut in 0..packed.len() {
+                assert!(same_as_reference(&packed[..cut], n).is_err(), "prefix {cut} accepted");
+            }
+            for i in 0..packed.len() {
+                for flip in [0x01u8, 0x80, 0xa5, 0xff] {
+                    let mut bad = packed.clone();
+                    bad[i] ^= flip;
+                    for expected in [n - 1, n, n + 1] {
+                        let _ = same_as_reference(&bad, expected);
+                    }
+                }
+            }
+        }
+        // Hand-built overlapping matches: `off` distinct literals, one
+        // back-reference of length `len` at distance `off`, then an empty
+        // final sequence.
+        for off in 1..=64usize {
+            let lits: Vec<u8> = (0..off).map(|i| i as u8 ^ 0x5a).collect();
+            for len in MIN_MATCH..=300 {
+                let mut stream = Vec::new();
+                put_sequence(&mut stream, &lits, Some((off, len)));
+                put_sequence(&mut stream, &[], None);
+                let n = off + len;
+                let want: Vec<u8> = lits.iter().copied().cycle().take(n).collect();
+                assert_eq!(same_as_reference(&stream, n), Ok(want), "off {off} len {len}");
+                assert!(same_as_reference(&stream, n - 1).is_err());
+                assert!(same_as_reference(&stream, n + 1).is_err());
+            }
+        }
+    }
 
     fn round_trip(data: &[u8]) {
         let packed = compress(data);

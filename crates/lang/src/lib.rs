@@ -24,6 +24,8 @@
 //! # Ok::<(), checkelide_lang::ParseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod lexer;
 pub mod parser;

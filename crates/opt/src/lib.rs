@@ -40,6 +40,8 @@
 //! assert!(vm.stats.opt_entries > 0, "sum was tier-upgraded");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod bbv;
 pub mod codecache;

@@ -34,6 +34,8 @@
 //! assert_eq!(rt.load_slot(p, add.offset).as_smi(), 7);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builtins;
 pub mod heap;
 pub mod maps;

@@ -26,6 +26,8 @@
 //! assert!(r.cycles >= 25, "100 µops at width 4");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod caches;
 pub mod config;
 pub mod core;

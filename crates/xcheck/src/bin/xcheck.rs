@@ -14,6 +14,8 @@
 //! `--jobs`; timing goes to stderr. Exit status is nonzero iff a
 //! mismatch was found.
 
+#![forbid(unsafe_code)]
+
 use checkelide_bench::Cli;
 use checkelide_xcheck::{sweep, SweepOptions};
 use std::time::Instant;

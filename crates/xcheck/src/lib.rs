@@ -31,6 +31,8 @@
 //! fault-isolated worker pool from `checkelide-bench`; given the same
 //! seed range it produces a byte-identical report at any `--jobs`.
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod generate;
 pub mod reference;

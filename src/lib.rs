@@ -48,6 +48,8 @@
 //! assert!(session.vm().stats.opt_entries > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use checkelide_bench as bench;
 pub use checkelide_core as core;
 pub use checkelide_engine as engine;
