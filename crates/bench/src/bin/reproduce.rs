@@ -2,18 +2,21 @@
 //! `results/`, fanning (benchmark × config) cells across a panic-isolated
 //! worker pool.
 //!
-//!     reproduce [--quick] [--jobs N] [--trace-cache DIR|off]
+//!     reproduce [--quick] [--jobs N] [--trace-cache DIR|tcp://HOST:PORT|off]
+//!               [--sim-cache off|on|verify]
 //!
 //! * `--quick` — reduced-scale smoke run.
-//! * `--jobs N` (or `-j N`, or env `CHECKELIDE_JOBS`) — worker threads;
-//!   defaults to the machine's available parallelism.
-//! * `--trace-cache DIR|off` (or env `CHECKELIDE_TRACE_CACHE`) — µop trace
-//!   record/replay cache. `reproduce` defaults it ON at
-//!   `target/trace-cache`: each engine configuration executes at most once
-//!   per run, and every figure sharing that configuration (fig2/fig3 reuse
-//!   fig1's characterization traces; overheads reuses fig8/fig9's
-//!   mechanism traces) replays the recording instead of re-executing.
-//!   Hit/miss counts and byte totals land in `results/run_meta.json`.
+//! * `--jobs N` (or `-j N`) — worker threads; defaults to the machine's
+//!   available parallelism.
+//! * `--trace-cache DIR|tcp://HOST:PORT|off` — µop trace record/replay
+//!   cache. `reproduce` defaults it ON at `target/trace-cache`: each
+//!   engine configuration executes at most once per run, and every figure
+//!   sharing that configuration (fig2/fig3 reuse fig1's characterization
+//!   traces; overheads reuses fig8/fig9's mechanism traces) replays the
+//!   recording instead of re-executing. Hit/miss counts and byte totals
+//!   land in `results/run_meta.json`.
+//! * `--sim-cache off|on|verify` — sim-result memoization (default `on`
+//!   whenever the trace cache is enabled).
 //!
 //! A failing benchmark no longer aborts the run: its cell is reported in
 //! the failure summary (and in `results/run_meta.json`), every other

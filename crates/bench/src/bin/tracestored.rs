@@ -1,6 +1,6 @@
 //! `tracestored` — serve a content-addressed trace store over TCP.
 //!
-//!     tracestored [--store DIR] [--addr HOST:PORT] [--trace-compress off]
+//!     tracestored [--store DIR] [--addr HOST:PORT]
 //!     tracestored --gc [--store DIR] [--max-store-bytes N]
 //!
 //! Serving: binds `--addr` (default `127.0.0.1:7117`; port `0` picks a
@@ -8,9 +8,8 @@
 //! of `checkelide_bench::proto` against the store at `--store` (default
 //! `target/trace-cache`), one panic-isolated thread per connection.
 //! Point any figure binary (or a whole fleet of them) at it with
-//! `--trace-cache tcp://HOST:PORT` or `CHECKELIDE_TRACE_CACHE`: N
-//! workers then share one warm store instead of each paying the cold
-//! recording.
+//! `--trace-cache tcp://HOST:PORT`: N workers then share one warm store
+//! instead of each paying the cold recording.
 //!
 //! Maintenance: `--gc` runs one garbage-collection pass and exits —
 //! drops entries whose stored key carries a stale schema salt (a
@@ -32,14 +31,7 @@ use checkelide_bench::{Cli, TraceStore};
 fn main() {
     let cli = Cli::parse();
     let dir = cli.value_of("--store").unwrap_or(DEFAULT_TRACE_CACHE_DIR).to_string();
-    let compress = !matches!(
-        cli.value_of("--trace-compress")
-            .map(str::to_string)
-            .or_else(|| std::env::var(checkelide_bench::tracecache::TRACE_COMPRESS_ENV).ok())
-            .as_deref(),
-        Some("off") | Some("0") | Some("none")
-    );
-    let store = match TraceStore::open(&dir, compress) {
+    let store = match TraceStore::open(&dir, true) {
         Ok(store) => store,
         Err(e) => {
             eprintln!("tracestored: cannot open store at {dir}: {e}");

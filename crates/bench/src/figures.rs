@@ -38,12 +38,10 @@ fn iters(quick: bool) -> u32 {
 // Pool plumbing shared by all drivers
 // ---------------------------------------------------------------------------
 
-/// Environment variable naming a benchmark whose cells deliberately panic.
-///
-/// Used to exercise the fault-isolation path end to end: the cell shows up
-/// in the failure summary while every sibling's results are still produced
-/// and saved.
-pub const INJECT_PANIC_ENV: &str = "CHECKELIDE_INJECT_PANIC";
+/// What one figure cell yields: its row, the dynamic-µop count for the
+/// throughput metadata, the trace-cache disposition, the cell's sim-cache
+/// telemetry and the VM statistics of its (last) run.
+pub type CellRun<R> = Result<(R, u64, CacheDisposition, SimTelemetry, VmStats), RunError>;
 
 /// Per-cell observability metadata persisted to `results/run_meta.json`.
 #[derive(Debug, Clone)]
@@ -123,22 +121,6 @@ pub struct FigureReport<R> {
     pub cells: Vec<CellMeta>,
 }
 
-impl<R> FigureReport<R> {
-    /// Extract the rows, panicking if any cell failed (the behavior of the
-    /// pre-pool harness; tests and compat wrappers use this).
-    ///
-    /// # Panics
-    ///
-    /// If any cell failed.
-    pub fn expect_rows(self) -> Vec<R> {
-        if let Some(first) = self.failures.first() {
-            panic!("{} of {} {} cells failed; first: {first}",
-                self.failures.len(), self.cells.len(), self.figure);
-        }
-        self.rows
-    }
-}
-
 /// Render a failure summary (empty string when there are no failures).
 pub fn render_failures(failures: &[CellError]) -> String {
     use std::fmt::Write as _;
@@ -155,10 +137,10 @@ pub fn render_failures(failures: &[CellError]) -> String {
 
 /// Fan one figure's benchmark cells across the pool and assemble a report.
 ///
-/// `f` runs one benchmark and returns its row, the dynamic-µop count for
-/// the throughput metadata, the trace-cache disposition, and the cell's
-/// sim-cache telemetry.
-fn run_figure<R, F>(
+/// `f` runs one benchmark's cell. A cell that returns an error or panics
+/// becomes a [`CellError`] in `failures` (labelled `figure/benchmark`)
+/// while every other cell still produces its row.
+pub fn run_figure<R, F>(
     figure: &'static str,
     benches: Vec<&'static Benchmark>,
     jobs: usize,
@@ -166,10 +148,7 @@ fn run_figure<R, F>(
 ) -> FigureReport<R>
 where
     R: Send,
-    F: Fn(
-            &'static Benchmark,
-        ) -> Result<(R, u64, CacheDisposition, SimTelemetry, VmStats), RunError>
-        + Sync,
+    F: Fn(&'static Benchmark) -> CellRun<R> + Sync,
 {
     // Static proof that the cell inputs and outputs may cross threads.
     // (The engine's `Rc`-based internals never do: each cell builds its
@@ -178,16 +157,9 @@ where
     fn assert_out_send<T: Send>() {}
     assert_out_send::<(RunOutput, Result<(), RunError>)>();
 
-    let inject = std::env::var(INJECT_PANIC_ENV).ok();
     let cells: Vec<(String, &'static Benchmark)> =
         benches.iter().map(|b| (format!("{figure}/{}", b.name), *b)).collect();
-    let outcomes = pool::run_cells(cells, jobs, |b: &&'static Benchmark| {
-        let b: &'static Benchmark = b;
-        if inject.as_deref() == Some(b.name) {
-            panic!("injected panic via {INJECT_PANIC_ENV} for fault-isolation testing");
-        }
-        f(b)
-    });
+    let outcomes = pool::run_cells(cells, jobs, |b: &&'static Benchmark| f(b));
 
     let mut report =
         FigureReport { figure, rows: Vec::new(), failures: Vec::new(), cells: Vec::new() };
@@ -453,11 +425,6 @@ impl ToJson for Fig1Row {
     }
 }
 
-/// Run the Figure 1 characterization across the pool (no trace cache).
-pub fn fig1_report(quick: bool, jobs: usize) -> FigureReport<Fig1Row> {
-    fig1_report_cached(quick, jobs, &TraceCache::disabled())
-}
-
 /// Run the Figure 1 characterization across the pool, recording to /
 /// replaying from `cache` where possible.
 pub fn fig1_report_cached(
@@ -490,11 +457,6 @@ pub fn fig1_report_cached(
             out.vm_stats,
         ))
     })
-}
-
-/// Run the Figure 1 characterization serially (compat wrapper).
-pub fn fig1(quick: bool) -> Vec<Fig1Row> {
-    fig1_report(quick, 1).expect_rows()
 }
 
 /// Render Figure 1 as an aligned table.
@@ -560,11 +522,6 @@ impl ToJson for Fig2Row {
     }
 }
 
-/// Run the Figure 2 characterization across the pool (no trace cache).
-pub fn fig2_report(quick: bool, jobs: usize) -> FigureReport<Fig2Row> {
-    fig2_report_cached(quick, jobs, &TraceCache::disabled())
-}
-
 /// Run the Figure 2 characterization across the pool, reusing `cache`.
 ///
 /// Figure 2 uses the same `RunConfig::characterize()` key as Figure 1, so
@@ -597,11 +554,6 @@ pub fn fig2_report_cached(
             out.vm_stats,
         ))
     })
-}
-
-/// Run the Figure 2 characterization serially (compat wrapper).
-pub fn fig2(quick: bool) -> Vec<Fig2Row> {
-    fig2_report(quick, 1).expect_rows()
 }
 
 /// Render Figure 2.
@@ -668,11 +620,6 @@ impl ToJson for Fig3RowOut {
     }
 }
 
-/// Run Figure 3 over the selected benchmarks across the pool (no cache).
-pub fn fig3_report(quick: bool, jobs: usize) -> FigureReport<Fig3RowOut> {
-    fig3_report_cached(quick, jobs, &TraceCache::disabled())
-}
-
 /// Run Figure 3 across the pool, reusing `cache`.
 ///
 /// Figure 3 shares Figure 1's `RunConfig::characterize()` cache key, so a
@@ -705,11 +652,6 @@ pub fn fig3_report_cached(
             out.vm_stats,
         ))
     })
-}
-
-/// Run Figure 3 serially (compat wrapper).
-pub fn fig3(quick: bool) -> Vec<Fig3RowOut> {
-    fig3_report(quick, 1).expect_rows()
 }
 
 /// Render Figure 3.
@@ -800,12 +742,6 @@ impl ToJson for Fig89Row {
     }
 }
 
-/// Run Figures 8 and 9 over the selected benchmarks across the pool (no
-/// trace cache).
-pub fn fig89_report(quick: bool, jobs: usize) -> FigureReport<Fig89Row> {
-    fig89_report_cached(quick, jobs, &TraceCache::disabled())
-}
-
 /// Run Figures 8 and 9 across the pool, reusing `cache`.
 ///
 /// Each cell records/replays two traces (baseline + mechanism); a cell is
@@ -818,11 +754,6 @@ pub fn fig89_report_cached(
     run_figure("fig8_fig9", selected().collect(), jobs, move |b| {
         fig89_one_cell(b, quick, cache)
     })
-}
-
-/// Run Figures 8 and 9 serially (compat wrapper).
-pub fn fig89(quick: bool) -> Vec<Fig89Row> {
-    fig89_report(quick, 1).expect_rows()
 }
 
 /// Run Figures 8/9 for one benchmark, reporting failures as data.
@@ -843,7 +774,7 @@ fn fig89_one_cell(
     b: &Benchmark,
     quick: bool,
     cache: &TraceCache,
-) -> Result<(Fig89Row, u64, CacheDisposition, SimTelemetry, VmStats), RunError> {
+) -> CellRun<Fig89Row> {
     let (base, base_disp, base_sim_tel) = try_run_benchmark_cached(
         b,
         RunConfig::baseline_timed()
@@ -994,11 +925,6 @@ impl ToJson for FigBbvRow {
     }
 }
 
-/// Run the BBV head-to-head over the selected benchmarks (no trace cache).
-pub fn fig_bbv_report(quick: bool, jobs: usize) -> FigureReport<FigBbvRow> {
-    fig_bbv_report_cached(quick, jobs, &TraceCache::disabled())
-}
-
 /// Run the BBV head-to-head across the pool, reusing `cache`.
 ///
 /// Each cell records/replays five traces; a cell is a `hit` only when all
@@ -1013,26 +939,11 @@ pub fn fig_bbv_report_cached(
     })
 }
 
-/// Run the BBV head-to-head serially (compat wrapper).
-pub fn fig_bbv(quick: bool) -> Vec<FigBbvRow> {
-    fig_bbv_report(quick, 1).expect_rows()
-}
-
-/// Run the head-to-head for one benchmark, reporting failures as data.
-///
-/// # Errors
-///
-/// Any [`RunError`] from any of the five configurations, or a checksum
-/// divergence between any configuration and the baseline run.
-pub fn try_fig_bbv_one(b: &Benchmark, quick: bool) -> Result<FigBbvRow, RunError> {
-    fig_bbv_one_cell(b, quick, &TraceCache::disabled()).map(|(row, _, _, _, _)| row)
-}
-
 fn fig_bbv_one_cell(
     b: &Benchmark,
     quick: bool,
     cache: &TraceCache,
-) -> Result<(FigBbvRow, u64, CacheDisposition, SimTelemetry, VmStats), RunError> {
+) -> CellRun<FigBbvRow> {
     use checkelide_isa::uop::Category;
     let configs: [RunConfig; 5] = [
         RunConfig::baseline_timed(),
@@ -1204,12 +1115,6 @@ impl ToJson for OverheadRow {
     }
 }
 
-/// Run the §5.3 overheads analysis over the selected benchmarks across the
-/// pool (no trace cache).
-pub fn overheads_report(quick: bool, jobs: usize) -> FigureReport<OverheadRow> {
-    overheads_report_cached(quick, jobs, &TraceCache::disabled())
-}
-
 /// Run the §5.3 overheads analysis across the pool, reusing `cache`.
 ///
 /// The rows never read the timing model, so the cells run with
@@ -1234,11 +1139,6 @@ pub fn overheads_report_cached(
         let uops = out.uops;
         Ok((overhead_row(b.name, &out), uops, disp, sim_tel, out.vm_stats))
     })
-}
-
-/// Run the §5.3 overheads analysis serially (compat wrapper).
-pub fn overheads(quick: bool) -> Vec<OverheadRow> {
-    overheads_report(quick, 1).expect_rows()
 }
 
 fn overhead_row(name: &str, out: &RunOutput) -> OverheadRow {

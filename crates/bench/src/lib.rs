@@ -9,9 +9,9 @@
 //!   paper; see the `fig1`…`fig9`, `table1`, `table2`, `overheads`,
 //!   `hwcost` and `reproduce` binaries.
 //! * [`pool`] — the parallel, fault-isolated experiment-execution layer:
-//!   (benchmark × config) cells fan out across `--jobs N` /
-//!   `CHECKELIDE_JOBS` scoped worker threads; per-cell panics become
-//!   reported [`CellError`]s and results return in registry order.
+//!   (benchmark × config) cells fan out across `--jobs N` scoped worker
+//!   threads; per-cell panics become reported [`CellError`]s and results
+//!   return in registry order.
 //! * [`tracecache`] — the record-once/replay-many µop trace cache: each
 //!   engine configuration executes at most once per key, and every other
 //!   figure (or `CoreSim` pass) replays the recorded trace.
@@ -28,7 +28,9 @@
 //! * [`json`] — dependency-free, byte-deterministic JSON output for
 //!   `results/*.json` and the per-run `results/run_meta.json` metadata.
 //! * [`cli`] — the shared `--quick` / `--jobs` / value-flag / positional
-//!   parsing used by every harness binary (and by `xcheck`).
+//!   parsing used by every harness binary (and by `xcheck`); flags and
+//!   typed config are the only inputs, no setting comes from the process
+//!   environment.
 
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
@@ -45,12 +47,12 @@ pub mod tracecache;
 
 pub use cli::Cli;
 pub use json::{Json, ToJson};
-pub use pool::{default_jobs, jobs_from_args, run_cells, CellError, CellOutcome};
+pub use pool::{run_cells, CellError, CellOutcome};
 pub use runner::{
     run_benchmark, try_run_benchmark, try_run_benchmark_cached, CacheDisposition, RunConfig,
     RunError, RunOutput, SimTelemetry,
 };
-pub use simcache::{sim_config, sim_energy, sim_fingerprint, SimCacheMode, SIM_CACHE_ENV};
+pub use simcache::{sim_config, sim_energy, sim_fingerprint, SimCacheMode};
 pub use store::{GcStats, Sidecar, StoreStats, TraceStore};
 pub use suite::{find, selected, Benchmark, Suite, BENCHMARKS};
-pub use tracecache::{TraceCache, TraceCacheStats, TRACE_CACHE_ENV};
+pub use tracecache::{TraceCache, TraceCacheStats};

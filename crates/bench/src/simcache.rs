@@ -25,20 +25,17 @@
 //!   and the live result wins.
 //! * `off` — always simulate live, never read or write sim objects.
 //!
-//! Resolution order: the `--sim-cache` flag, then [`SIM_CACHE_ENV`], then
-//! `on`. The cache is backend-agnostic: sim objects live next to trace
-//! manifests in the local store and travel over the `tracestored`
-//! protocol, degrading tcp → local → live-simulate.
+//! The mode comes from the `--sim-cache` flag, else `on`; library
+//! callers set it with [`crate::TraceCache::with_sim_mode`]. The cache is
+//! backend-agnostic: sim objects live next to trace manifests in the
+//! local store and travel over the `tracestored` protocol, degrading
+//! tcp → local → live-simulate.
 //!
 //! [`CoreSim`]: checkelide_uarch::CoreSim
 
 use std::sync::OnceLock;
 
 use checkelide_uarch::{config_fingerprint, CoreConfig, EnergyParams};
-
-/// Environment variable selecting the sim-cache mode (`off`/`on`/
-/// `verify`).
-pub const SIM_CACHE_ENV: &str = "CHECKELIDE_SIM_CACHE";
 
 /// Sim-result cache mode.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -74,14 +71,12 @@ impl SimCacheMode {
         }
     }
 
-    /// Resolve from an explicit `--sim-cache` value, the
-    /// [`SIM_CACHE_ENV`] variable, or the default (`on`). Unrecognized
-    /// spellings warn and fall back to the default so a typo can never
-    /// silently disable verification CI asked for.
+    /// Resolve from an explicit `--sim-cache` value, or the default
+    /// (`on`). Unrecognized spellings warn and fall back to the default
+    /// so a typo can never silently disable verification CI asked for.
     #[must_use]
     pub fn resolve(flag: Option<&str>) -> SimCacheMode {
-        let spec = flag.map(str::to_string).or_else(|| std::env::var(SIM_CACHE_ENV).ok());
-        match spec.as_deref() {
+        match flag {
             None => SimCacheMode::default(),
             Some(s) => SimCacheMode::parse(s).unwrap_or_else(|| {
                 eprintln!(

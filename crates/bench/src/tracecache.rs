@@ -48,13 +48,17 @@
 //!
 //! # Activation
 //!
-//! Resolution order: the `--trace-cache DIR|tcp://HOST:PORT|off` flag,
-//! then the `CHECKELIDE_TRACE_CACHE` environment variable (`off`/`0`/
-//! `none` disables), then the binary's default (`reproduce` defaults to
-//! `target/trace-cache`; standalone figure binaries default off so a
-//! single-figure run never pays recording overhead unasked). Object
-//! compression is on unless `CHECKELIDE_TRACE_COMPRESS` (or
-//! `--trace-compress`) says `off`.
+//! The backend comes from the `--trace-cache DIR|tcp://HOST:PORT|off`
+//! flag (`off`/`0`/`none` disables), else from the binary's default
+//! (`reproduce` defaults to `target/trace-cache`; standalone figure
+//! binaries default off so a single-figure run never pays recording
+//! overhead unasked); the sim-cache mode comes from `--sim-cache`, else
+//! [`SimCacheMode::default`]. Library callers configure the same two
+//! settings through [`TraceCache::resolve_spec`] / [`TraceCache::at`] /
+//! [`TraceCache::remote_or`] and [`TraceCache::with_sim_mode`]; nothing
+//! is read from the process environment. Objects are always
+//! LZ-compressed ([`ObjectImage::build`] stores a body raw when LZ does
+//! not shrink it).
 //!
 //! All statistics are atomics: one `TraceCache` is shared by reference
 //! across the [`crate::pool`] workers.
@@ -69,13 +73,6 @@ use crate::simcache::{sim_fingerprint, SimCacheMode};
 use crate::store::{fnv1a64, ObjectImage, Sidecar, TraceStore};
 use checkelide_engine::Mechanism;
 use checkelide_uarch::{SimObject, SimResult, SIM_OBJECT_LEN};
-
-/// Environment variable selecting the cache backend: a directory,
-/// `tcp://host:port`, or `off`/`0`/`none` to disable.
-pub const TRACE_CACHE_ENV: &str = "CHECKELIDE_TRACE_CACHE";
-
-/// Environment variable disabling object compression (`off`/`0`/`none`).
-pub const TRACE_COMPRESS_ENV: &str = "CHECKELIDE_TRACE_COMPRESS";
 
 /// Default cache directory for binaries that enable the cache by default
 /// (and the fallback when a `tcp://` server is unreachable).
@@ -132,7 +129,6 @@ enum Backend {
 #[derive(Debug)]
 pub struct TraceCache {
     backend: Backend,
-    compress: bool,
     sim_mode: SimCacheMode,
     local_hits: AtomicU64,
     remote_hits: AtomicU64,
@@ -152,17 +148,11 @@ fn is_off(spec: &str) -> bool {
     matches!(spec, "off" | "0" | "none" | "")
 }
 
-fn compress_default() -> bool {
-    !matches!(std::env::var(TRACE_COMPRESS_ENV).ok().as_deref(), Some(v) if is_off(v))
-}
-
 impl TraceCache {
-    fn with_backend(backend: Backend, compress: bool) -> TraceCache {
+    fn with_backend(backend: Backend) -> TraceCache {
         TraceCache {
             backend,
-            compress,
-            // The env-var default; `from_cli` overrides from `--sim-cache`.
-            sim_mode: SimCacheMode::resolve(None),
+            sim_mode: SimCacheMode::default(),
             local_hits: AtomicU64::new(0),
             remote_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -178,7 +168,8 @@ impl TraceCache {
         }
     }
 
-    /// Override the sim-cache mode (builder style, used by `from_cli`).
+    /// Set the sim-cache mode (builder style; a new cache starts at
+    /// [`SimCacheMode::default`]).
     #[must_use]
     pub fn with_sim_mode(mut self, mode: SimCacheMode) -> TraceCache {
         self.sim_mode = mode;
@@ -200,16 +191,15 @@ impl TraceCache {
     /// [`crate::runner::CacheDisposition::Off`]).
     #[must_use]
     pub fn disabled() -> TraceCache {
-        TraceCache::with_backend(Backend::Off, false)
+        TraceCache::with_backend(Backend::Off)
     }
 
     /// A cache over a local store rooted at `dir` (created if missing;
     /// falls back to disabled with a warning when the directory cannot be
     /// created).
     pub fn at(dir: impl AsRef<Path>) -> TraceCache {
-        let compress = compress_default();
-        match TraceStore::open(dir.as_ref(), compress) {
-            Ok(store) => TraceCache::with_backend(Backend::Local(store), compress),
+        match TraceStore::open(dir.as_ref(), true) {
+            Ok(store) => TraceCache::with_backend(Backend::Local(store)),
             Err(e) => {
                 eprintln!(
                     "warning: trace cache disabled: cannot open store at {}: {e}",
@@ -225,9 +215,7 @@ impl TraceCache {
     /// with a warning when the server is unreachable.
     pub fn remote_or(addr: &str, fallback_dir: &str) -> TraceCache {
         match RemoteStore::connect(addr) {
-            Ok(remote) => {
-                TraceCache::with_backend(Backend::Remote(remote), compress_default())
-            }
+            Ok(remote) => TraceCache::with_backend(Backend::Remote(remote)),
             Err(e) => {
                 eprintln!(
                     "warning: trace store server {addr} unreachable ({e}); \
@@ -241,7 +229,8 @@ impl TraceCache {
     /// Resolve a cache spec: `off`/`0`/`none`/empty disables,
     /// `tcp://HOST:PORT` selects the protocol client (falling back to
     /// `fallback_dir` when unreachable), anything else is a local store
-    /// directory.
+    /// directory. With no spec, `default_on` picks the local store at
+    /// `fallback_dir` or a disabled cache.
     #[must_use]
     pub fn resolve_spec(
         spec: Option<&str>,
@@ -259,25 +248,13 @@ impl TraceCache {
         }
     }
 
-    /// Resolve from an explicit `--trace-cache` value, the
-    /// [`TRACE_CACHE_ENV`] variable, or the binary's default.
-    #[must_use]
-    pub fn resolve(flag: Option<&str>, default_on: bool) -> TraceCache {
-        let spec =
-            flag.map(str::to_string).or_else(|| std::env::var(TRACE_CACHE_ENV).ok());
-        TraceCache::resolve_spec(spec.as_deref(), default_on, DEFAULT_TRACE_CACHE_DIR)
-    }
-
-    /// Resolve from a parsed [`Cli`]
-    /// (`--trace-cache DIR|tcp://HOST:PORT|off`, `--trace-compress off`).
+    /// Resolve from a parsed [`Cli`]: `--trace-cache
+    /// DIR|tcp://HOST:PORT|off` (default per `default_on`, falling back
+    /// to [`DEFAULT_TRACE_CACHE_DIR`]) and `--sim-cache off|on|verify`.
     #[must_use]
     pub fn from_cli(cli: &Cli, default_on: bool) -> TraceCache {
-        if let Some(v) = cli.value_of("--trace-compress") {
-            // The env var is how the flag reaches TraceStore::open; the
-            // figure binaries are single-threaded at this point.
-            std::env::set_var(TRACE_COMPRESS_ENV, v);
-        }
-        TraceCache::resolve(cli.value_of("--trace-cache"), default_on)
+        let spec = cli.value_of("--trace-cache");
+        TraceCache::resolve_spec(spec, default_on, DEFAULT_TRACE_CACHE_DIR)
             .with_sim_mode(SimCacheMode::resolve(cli.value_of("--sim-cache")))
     }
 
@@ -489,7 +466,7 @@ impl TraceCache {
                 }
             },
             Backend::Remote(remote) => {
-                let image = ObjectImage::build(raw, self.compress);
+                let image = ObjectImage::build(raw, true);
                 side.cid = image.cid;
                 side.compression = image.compression;
                 side.trace_bytes = raw.len() as u64;
@@ -630,7 +607,7 @@ mod tests {
     #[test]
     fn resolve_honors_off_spellings() {
         for s in ["off", "0", "none", ""] {
-            assert!(!TraceCache::resolve(Some(s), true).enabled());
+            assert!(!TraceCache::resolve_spec(Some(s), true, DEFAULT_TRACE_CACHE_DIR).enabled());
         }
     }
 

@@ -26,7 +26,7 @@ const DENSE_LEN: usize = 256 * 256 * DENSE_POS;
 /// with no hashing. The table is allocated lazily (and zero-filled by the
 /// allocator, so untouched pages stay unmapped); classification walks it
 /// once at the end of the run.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct LoadAccessStats {
     /// Dense named-property load counts, indexed by
     /// `class << 11 | line << 3 | pos` (`pos < DENSE_POS`). Empty until

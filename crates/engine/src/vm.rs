@@ -80,8 +80,8 @@ pub struct EngineConfig {
     /// function whose activation count exceeds [`region_threshold`]
     /// has its plans compiled into direct-threaded regions held in the
     /// per-VM managed code cache. Byte-identical to the plan-walking
-    /// tier by construction; `CHECKELIDE_SCALAR_EXEC=1` forces the
-    /// plan-walking reference regardless of this flag.
+    /// tier by construction; `false` pins every optimized activation
+    /// to the plan-walking reference.
     ///
     /// [`region_threshold`]: EngineConfig::region_threshold
     pub regions: bool,
@@ -692,7 +692,7 @@ impl Vm {
                 ExecResult::Return(v) => return Ok(v),
                 ExecResult::Error(e) => return Err(e),
                 ExecResult::Deopt(state) => {
-                    self.on_deopt(sink, func, state.reason);
+                    self.on_deopt(sink, func);
                     // Resume in the interpreter at the deopt point. The
                     // reconstructed locals/stack move straight into the
                     // frame (and are recycled into the pool afterwards).
@@ -767,15 +767,8 @@ impl Vm {
     }
 
     /// Record a deopt of `func` and discard its optimized code.
-    pub fn on_deopt(&mut self, sink: &mut BatchSink<'_>, func: u32, reason: DeoptReason) {
+    pub fn on_deopt(&mut self, sink: &mut BatchSink<'_>, func: u32) {
         self.stats.deopts += 1;
-        if std::env::var_os("CHECKELIDE_TRACE_DEOPT").is_some() {
-            eprintln!(
-                "deopt: {} reason={reason:?} (count {})",
-                self.funcs[func as usize].decl.name,
-                self.funcs[func as usize].deopt_count + 1
-            );
-        }
         let mut em = Emitter::new(Region::Runtime);
         em.at(stubs::DEOPT);
         em.stub_call(sink, stubs::DEOPT, 40, 10);

@@ -30,13 +30,6 @@ use checkelide_runtime::{maps::fixed, Builtin, ElemKind, FuncRef, MapIx, Value};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-/// Environment toggle forcing the plan-walking reference tier: set
-/// `CHECKELIDE_SCALAR_EXEC=1` and every optimized activation walks
-/// `(Bc, OpPlan)` pairs exactly as before the region tier existed.
-/// The region tier must be byte-identical to this path (CI diffs the
-/// figure goldens both ways).
-pub const SCALAR_EXEC_ENV: &str = "CHECKELIDE_SCALAR_EXEC";
-
 /// Optimized code for one function.
 pub struct OptimizedBody {
     /// Function index.
@@ -56,9 +49,6 @@ pub struct OptimizedBody {
     /// The per-VM managed code cache, shared with the `Optimizer` that
     /// produced this body (and with every other body it compiles).
     pub cache: Rc<RefCell<CodeCache>>,
-    /// [`SCALAR_EXEC_ENV`] was set when this body was compiled: pin
-    /// the plan-walking reference tier.
-    pub scalar_forced: bool,
 }
 
 impl OptimizedBody {
@@ -68,7 +58,7 @@ impl OptimizedBody {
     /// their plans are per-version and materialize lazily, so there is
     /// no stable plan vector to compile regions from.
     fn region_set(&self, vm: &mut Vm) -> Option<Rc<RegionSet>> {
-        if self.bbv.is_some() || self.scalar_forced || !vm.config.regions {
+        if self.bbv.is_some() || !vm.config.regions {
             return None;
         }
         let n = self.activations.get().saturating_add(1);

@@ -59,7 +59,7 @@ pub use analyze::{analyze, Abs, Analysis};
 pub use bbv::{BbvState, BlockVersion, VERSION_CAP};
 pub use codecache::CodeCache;
 pub use context::{TypeCtx, TypeTag};
-pub use exec::{OptimizedBody, SCALAR_EXEC_ENV};
+pub use exec::OptimizedBody;
 pub use plan::{CheckKind, NumMode, OpPlan};
 pub use region::{FusedSrc, FusedTail, RegionSet, ROp};
 
@@ -109,7 +109,6 @@ impl OptimizerHook for Optimizer {
             bbv: bbv_state,
             activations: Cell::new(0),
             cache: Rc::clone(&self.cache),
-            scalar_forced: std::env::var_os(SCALAR_EXEC_ENV).is_some(),
         }))
     }
 }
